@@ -11,7 +11,7 @@ GO ?= go
 # parallel path, not just -j 1.
 SHORT_ENV = MIRZA_MEASURE_MS=0.2 MIRZA_WARMUP_MS=0.1 MIRZA_REPLAY_WINDOWS=2 MIRZA_WORKLOADS=xz MIRZA_PARALLELISM=4
 
-.PHONY: check vet build test test-race test-telemetry serve-check trace-check sweep-check audit conformance bench bench-smoke bench-mem clean
+.PHONY: check vet build test test-race test-telemetry serve-check trace-check sweep-check audit conformance bench bench-smoke bench-mem perfbench-check clean
 
 check: vet build test-race test-telemetry
 
@@ -102,6 +102,21 @@ bench-smoke:
 bench-mem:
 	$(GO) test -run=TestFig3SteadyStateAllocFree -bench=BenchmarkFig3 -benchmem ./internal/mem/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_mem.json
+
+# End-to-end benchmark gate. perfbench is its own module, so the root
+# `go test ./...` skips its self-tests (determinism, traced == untraced,
+# slicing, BENCHMARK.json in step with the code); they run here. Then one
+# unit of every workload at seed 1 must reproduce its reference hash of
+# all simulated statistics ("outputs: correct"), so a hot-path change
+# that moves a single simulated bit fails (see perfbench/README.md and
+# DESIGN.md section 18).
+perfbench-check:
+	cd perfbench && $(GO) test ./...
+	for w in replay_mirza replay_prac timing_fig3; do \
+		out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0) || { echo "$$out"; exit 1; }; \
+		echo "$$w: $$(echo "$$out" | grep '^outputs')"; \
+		echo "$$out" | grep -qx 'outputs: correct' || { echo "$$out"; exit 1; }; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -119,12 +119,10 @@ func (c Config) Validate() error {
 	}
 	s := c.Geometry.Subarrays()
 	switch {
-	case c.Regions < 1:
-		return fmt.Errorf("core: Regions must be >= 1, got %d", c.Regions)
-	case c.Regions <= s && s%c.Regions != 0:
-		return fmt.Errorf("core: Regions=%d must divide subarrays=%d", c.Regions, s)
-	case c.Regions > s && c.Regions%s != 0:
-		return fmt.Errorf("core: Regions=%d must be a multiple of subarrays=%d", c.Regions, s)
+	case c.Regions < 1 || c.Regions&(c.Regions-1) != 0:
+		// A power of two divides, or is a multiple of, the power-of-two
+		// subarray count, and keeps the per-ACT region lookup shift/mask.
+		return fmt.Errorf("core: Regions must be a positive power of two, got %d", c.Regions)
 	case c.Regions > s && c.Geometry.SubarrayRows*s/c.Regions < c.Geometry.RowsPerREF:
 		return fmt.Errorf("core: region smaller than one REF burst")
 	case c.FTH < 0:
@@ -184,48 +182,74 @@ func (c Config) String() string {
 		c.TargetTRHD, c.FTH, c.MINTWindow, c.Regions, c.QueueSize, c.QTH, c.Mapping, c.ResetPolicy)
 }
 
-// regionOf returns the RCT region of a logical row, derived from its
-// physical placement: whole subarrays group into a region when
-// Regions <= subarrays, and a subarray splits into equal physical-index
-// stripes when Regions > subarrays.
-func (c Config) regionOf(row int) int {
-	g := c.Geometry
-	sa := g.Subarray(c.Mapping, row)
-	s := g.Subarrays()
-	if c.Regions <= s {
-		return sa / (s / c.Regions)
-	}
-	perSA := c.Regions / s
-	regionRows := g.SubarrayRows / perSA
-	return sa*perSA + g.PhysicalIndex(c.Mapping, row)/regionRows
+// regionMap is the row -> RCT region rule of a Config, reduced to the
+// shifts and masks its power-of-two geometry allows and built once per
+// mitigator (DESIGN.md section 18). A row's region follows its physical
+// placement: whole subarrays group into a region when Regions <=
+// subarrays, and a subarray splits into equal physical-index stripes when
+// Regions > subarrays.
+type regionMap struct {
+	// A row sits in subarray row>>saShift&saMask at physical index
+	// row>>idxShift&idxMask (strided: the low bits pick the subarray;
+	// sequential: the high bits do).
+	saShift, idxShift uint
+	saMask, idxMask   int
+	split             bool // Regions > subarrays
+	groupShift        uint // !split: region = row>>groupShift&groupMask
+	groupMask         int
+	perSAShift        uint // split: log2(regions per subarray)
+	stripeShift       uint // split: log2(rows per stripe)
+	stripeMask        int  // split: rows per stripe - 1
+	lastIdx           int  // SubarrayRows - 1
 }
 
-// edgeNeighborRegion returns the adjacent region whose counter must also be
-// incremented when row sits on an intra-subarray region boundary (footnote
-// 3 of Section VI.B: a victim at a region edge would otherwise let both
-// aggressors of a double-sided pair accrue FTH each). It returns -1 when
-// the row is not an edge row or regions are not smaller than a subarray.
-func (c Config) edgeNeighborRegion(row int) int {
+func newRegionMap(c Config) regionMap {
 	g := c.Geometry
 	s := g.Subarrays()
+	saBits, idxBits := log2(s), log2(g.SubarrayRows)
+	r := regionMap{saMask: s - 1, idxMask: g.SubarrayRows - 1, lastIdx: g.SubarrayRows - 1}
+	if c.Mapping == dram.StridedR2SA {
+		r.idxShift, r.idxMask = saBits, -1
+	} else {
+		r.saShift, r.saMask = idxBits, -1
+	}
 	if c.Regions <= s {
-		return -1
+		// region = sa >> log2(subarrays per region), folded into one
+		// shift and mask of the row.
+		shift := saBits - log2(c.Regions)
+		r.groupShift, r.groupMask = r.saShift+shift, r.saMask>>shift
+		return r
 	}
-	perSA := c.Regions / s
-	regionRows := g.SubarrayRows / perSA
-	idx := g.PhysicalIndex(c.Mapping, row)
-	within := idx % regionRows
-	sa := g.Subarray(c.Mapping, row)
-	base := sa * perSA
-	switch {
-	case within == 0 && idx > 0:
-		return base + idx/regionRows - 1
-	case within == regionRows-1 && idx < g.SubarrayRows-1:
-		return base + idx/regionRows + 1
-	default:
-		return -1
-	}
+	r.split = true
+	r.perSAShift = log2(c.Regions) - saBits
+	r.stripeShift = idxBits - r.perSAShift
+	r.stripeMask = 1<<r.stripeShift - 1
+	return r
 }
+
+// of returns the RCT region of a logical row and, when the row sits on an
+// intra-subarray region boundary, the adjacent region whose counter must
+// also be incremented (footnote 3 of Section VI.B: a victim at a region
+// edge would otherwise let both aggressors of a double-sided pair accrue
+// FTH each). edge is -1 for interior rows, for rows on a subarray edge,
+// and whenever regions are not smaller than a subarray.
+func (r *regionMap) of(row int) (region, edge int) {
+	if !r.split {
+		return row >> r.groupShift & r.groupMask, -1
+	}
+	sa := row >> r.saShift & r.saMask
+	idx := row >> r.idxShift & r.idxMask
+	region = sa<<r.perSAShift + idx>>r.stripeShift
+	switch within := idx & r.stripeMask; {
+	case within == 0 && idx > 0:
+		return region, region - 1
+	case within == r.stripeMask && idx < r.lastIdx:
+		return region, region + 1
+	}
+	return region, -1
+}
+
+func log2(v int) uint { return uint(bits.TrailingZeros(uint(v))) }
 
 // newRNG derives the package RNG from the seed.
 func (c Config) newRNG() *stats.RNG {

@@ -49,6 +49,24 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("regions not dividing subarrays must be rejected")
 	}
+	// The region lookup is shift/mask: Regions must be a power of two.
+	// 384 is a multiple of the 128 subarrays, but its 341-row stripes do
+	// not tile a 1024-row subarray: row 1023 of the last subarray would
+	// index region 384 of 384.
+	for _, regions := range []int{0, -128, 96, 384} {
+		bad = base
+		bad.Regions = regions
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Regions=%d must be rejected", regions)
+		}
+	}
+	for _, regions := range []int{1, 32, 512} {
+		good := base
+		good.Regions = regions
+		if err := good.Validate(); err != nil {
+			t.Errorf("Regions=%d: %v", regions, err)
+		}
+	}
 	bad = base
 	bad.QueueSize = 0
 	if err := bad.Validate(); err == nil {

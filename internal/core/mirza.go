@@ -51,8 +51,9 @@ type bankState struct {
 // Mirza implements track.Mitigator for one sub-channel. Structures are
 // replicated per bank as in Figure 8; the ALERT request is channel-wide.
 type Mirza struct {
-	cfg  Config
-	sink track.Sink
+	cfg     Config
+	regions regionMap
+	sink    track.Sink
 
 	banks []bankState
 	// refreshingRegion is the region currently mid-refresh (-1 if none);
@@ -75,7 +76,7 @@ func New(cfg Config, sink track.Sink) (*Mirza, error) {
 	if sink == nil {
 		sink = track.NopSink{}
 	}
-	m := &Mirza{cfg: cfg, sink: sink, refreshingRegion: -1}
+	m := &Mirza{cfg: cfg, regions: newRegionMap(cfg), sink: sink, refreshingRegion: -1}
 	rng := cfg.newRNG()
 	m.banks = make([]bankState, cfg.Geometry.BanksPerSubChannel)
 	for i := range m.banks {
@@ -116,10 +117,10 @@ func (m *Mirza) Name() string { return m.cfg.String() }
 func (m *Mirza) OnActivate(bank, row int, now dram.Time) {
 	m.Stats.ACTs++
 	b := &m.banks[bank]
-	region := m.cfg.regionOf(row)
+	region, nb := m.regions.of(row)
 
 	filtered := m.bumpRegion(b, region)
-	if nb := m.cfg.edgeNeighborRegion(row); nb >= 0 {
+	if nb >= 0 {
 		m.Stats.EdgeDouble++
 		// The edge-row rule increments the neighbor region as well; the
 		// filtering outcome is decided by the row's own region.

@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // AddressMapping selects how physical addresses spread over the channel's
 // banks and rows. The paper's baseline is Minimalist Open Page with 4 lines
@@ -35,57 +38,61 @@ func (m AddressMapping) String() string {
 	}
 }
 
-// DecomposeWith maps a physical line-aligned byte address to its DRAM
-// location under the chosen mapping. MOP4Mapping matches Decompose.
-func (g Geometry) DecomposeWith(m AddressMapping, phys uint64) Address {
-	group := g.MOPLines
+// log2 returns the exponent of a power of two; Validate guarantees every
+// geometry field it is applied to is one. The &63 is free and tells the
+// compiler a shift by the result needs no out-of-range fixup.
+func log2(v int) uint { return uint(bits.TrailingZeros(uint(v))) & 63 }
+
+// group returns the lines one row visit covers under mapping m: the lines
+// an address keeps in one row before moving to the next sub-channel or
+// bank. The pointer receiver lets it inline into the decoders without
+// copying the Geometry.
+func (g *Geometry) group(m AddressMapping) int {
 	switch m {
 	case LineInterleaved:
-		group = 1
+		return 1
 	case RowInterleaved:
-		group = g.LinesPerRow()
+		return g.RowBytes >> log2(g.LineBytes)
 	}
-	line := phys / uint64(g.LineBytes)
+	return g.MOPLines
+}
 
-	colLow := int(line % uint64(group))
-	line /= uint64(group)
-
-	sc := int(line % uint64(g.SubChannels))
-	line /= uint64(g.SubChannels)
-
-	bank := int(line % uint64(g.BanksPerSubChannel))
-	line /= uint64(g.BanksPerSubChannel)
-
-	groups := g.LinesPerRow() / group
-	colHigh := int(line % uint64(groups))
-	line /= uint64(groups)
-
-	row := int(line % uint64(g.RowsPerBank))
+// DecomposeWith maps a physical line-aligned byte address to its DRAM
+// location under the chosen mapping. It is shift/mask only: Validate
+// requires every field it splits along to be a power of two, so each
+// field's mask is its size minus one.
+//
+// From the least significant end an address holds the line offset, the
+// low column bits of one row visit, the sub-channel, the bank, the high
+// column bits, and the row.
+func (g Geometry) DecomposeWith(m AddressMapping, phys uint64) Address {
+	group := g.group(m)
+	groups := g.RowBytes >> log2(g.LineBytes) >> log2(group)
+	line := phys >> log2(g.LineBytes)
+	colLow := int(line) & (group - 1)
+	line >>= log2(group)
+	sc := int(line) & (g.SubChannels - 1)
+	line >>= log2(g.SubChannels)
+	bank := int(line) & (g.BanksPerSubChannel - 1)
+	line >>= log2(g.BanksPerSubChannel)
+	colHigh := int(line) & (groups - 1)
+	line >>= log2(groups)
 	return Address{
 		SubChannel: sc,
 		Bank:       bank,
-		Row:        row,
-		Col:        colHigh*group + colLow,
+		Row:        int(line) & (g.RowsPerBank - 1),
+		Col:        colHigh<<log2(group) | colLow,
 	}
 }
 
 // ComposeWith is the inverse of DecomposeWith.
 func (g Geometry) ComposeWith(m AddressMapping, a Address) uint64 {
-	group := g.MOPLines
-	switch m {
-	case LineInterleaved:
-		group = 1
-	case RowInterleaved:
-		group = g.LinesPerRow()
-	}
-	groups := g.LinesPerRow() / group
-	colHigh := a.Col / group
-	colLow := a.Col % group
-
+	group := g.group(m)
+	groups := g.RowBytes >> log2(g.LineBytes) >> log2(group)
 	line := uint64(a.Row)
-	line = line*uint64(groups) + uint64(colHigh)
-	line = line*uint64(g.BanksPerSubChannel) + uint64(a.Bank)
-	line = line*uint64(g.SubChannels) + uint64(a.SubChannel)
-	line = line*uint64(group) + uint64(colLow)
-	return line * uint64(g.LineBytes)
+	line = line<<log2(groups) + uint64(a.Col>>log2(group))
+	line = line<<log2(g.BanksPerSubChannel) + uint64(a.Bank)
+	line = line<<log2(g.SubChannels) + uint64(a.SubChannel)
+	line = line<<log2(group) + uint64(a.Col&(group-1))
+	return line << log2(g.LineBytes)
 }

@@ -31,18 +31,37 @@ func Default() Geometry {
 	}
 }
 
-// Validate reports an error if the geometry is inconsistent.
+// Validate reports an error if the geometry is inconsistent. Every
+// dimension the address decoder splits an address along must be a power
+// of two: Decompose and Compose are shift/mask only (DESIGN.md section 18).
 func (g Geometry) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"LineBytes", g.LineBytes},
+		{"RowBytes", g.RowBytes},
+		{"MOPLines", g.MOPLines},
+		{"SubChannels", g.SubChannels},
+		{"BanksPerSubChannel", g.BanksPerSubChannel},
+		{"RowsPerBank", g.RowsPerBank},
+		{"SubarrayRows", g.SubarrayRows},
+	} {
+		if f.v <= 0 || f.v&(f.v-1) != 0 {
+			return fmt.Errorf("dram: %s = %d must be a positive power of two: %+v", f.name, f.v, g)
+		}
+	}
+	// Between powers of two, "a multiple of" is "at least".
 	switch {
-	case g.SubChannels <= 0 || g.BanksPerSubChannel <= 0 || g.RowsPerBank <= 0:
-		return fmt.Errorf("dram: geometry dimensions must be positive: %+v", g)
-	case g.RowBytes%g.LineBytes != 0:
+	case g.RowsPerREF <= 0:
+		return fmt.Errorf("dram: rows per REF must be positive, got %d", g.RowsPerREF)
+	case g.RowBytes < g.LineBytes:
 		return fmt.Errorf("dram: row size %d not a multiple of line size %d", g.RowBytes, g.LineBytes)
-	case g.RowsPerBank%g.SubarrayRows != 0:
+	case g.RowsPerBank < g.SubarrayRows:
 		return fmt.Errorf("dram: rows per bank %d not a multiple of subarray rows %d", g.RowsPerBank, g.SubarrayRows)
 	case g.SubarrayRows%g.RowsPerREF != 0:
 		return fmt.Errorf("dram: subarray rows %d not a multiple of rows per REF %d", g.SubarrayRows, g.RowsPerREF)
-	case g.LinesPerRow()%g.MOPLines != 0:
+	case g.LinesPerRow() < g.MOPLines:
 		return fmt.Errorf("dram: lines per row %d not a multiple of MOP group %d", g.LinesPerRow(), g.MOPLines)
 	}
 	return nil
@@ -92,44 +111,13 @@ func (g Geometry) FlatBank(a Address) int {
 // keeping 4-line bursts in an open row, which is what makes MOP the
 // best-performing policy for the baseline.
 func (g Geometry) Decompose(phys uint64) Address {
-	line := phys / uint64(g.LineBytes)
-
-	colLow := int(line % uint64(g.MOPLines))
-	line /= uint64(g.MOPLines)
-
-	sc := int(line % uint64(g.SubChannels))
-	line /= uint64(g.SubChannels)
-
-	bank := int(line % uint64(g.BanksPerSubChannel))
-	line /= uint64(g.BanksPerSubChannel)
-
-	mopGroups := g.LinesPerRow() / g.MOPLines
-	colHigh := int(line % uint64(mopGroups))
-	line /= uint64(mopGroups)
-
-	row := int(line % uint64(g.RowsPerBank))
-
-	return Address{
-		SubChannel: sc,
-		Bank:       bank,
-		Row:        row,
-		Col:        colHigh*g.MOPLines + colLow,
-	}
+	return g.DecomposeWith(MOP4Mapping, phys)
 }
 
 // Compose is the inverse of Decompose: it maps a DRAM location back to a
 // physical byte address (line-aligned).
 func (g Geometry) Compose(a Address) uint64 {
-	mopGroups := g.LinesPerRow() / g.MOPLines
-	colHigh := a.Col / g.MOPLines
-	colLow := a.Col % g.MOPLines
-
-	line := uint64(a.Row)
-	line = line*uint64(mopGroups) + uint64(colHigh)
-	line = line*uint64(g.BanksPerSubChannel) + uint64(a.Bank)
-	line = line*uint64(g.SubChannels) + uint64(a.SubChannel)
-	line = line*uint64(g.MOPLines) + uint64(colLow)
-	return line * uint64(g.LineBytes)
+	return g.ComposeWith(MOP4Mapping, a)
 }
 
 // R2SAMapping selects how logical row addresses are assigned to physical

@@ -16,6 +16,7 @@ package replay
 
 import (
 	"fmt"
+	"math"
 
 	"mirza/internal/dram"
 	"mirza/internal/trace"
@@ -50,8 +51,10 @@ func (c *Config) setDefaults() error {
 	if c.RowOpenWindow == 0 {
 		c.RowOpenWindow = 150 * dram.Nanosecond
 	}
-	if c.IPS <= 0 {
-		return fmt.Errorf("replay: IPS must be positive, got %v", c.IPS)
+	// A NaN or infinite rate gives every core a NaN or zero clock, and
+	// Run never reaches its end time.
+	if !(c.IPS > 0) || math.IsInf(c.IPS, 1) {
+		return fmt.Errorf("replay: IPS must be finite and positive, got %v", c.IPS)
 	}
 	return c.Geometry.Validate()
 }
@@ -80,7 +83,8 @@ type Runner struct {
 	mits   []track.Mitigator
 	asids  []int
 
-	coreInstr []float64 // cumulative instructions per core
+	coreInstr []float64   // cumulative instructions per core
+	coreAt    []dram.Time // coreTime of each core, refreshed as it advances
 	coreOp    []trace.Op
 	perCore   float64 // per-core instructions per second
 
@@ -129,6 +133,7 @@ func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Run
 		mits:      mits,
 		asids:     asids,
 		coreInstr: make([]float64, len(gens)),
+		coreAt:    make([]dram.Time, len(gens)),
 		coreOp:    make([]trace.Op, len(gens)),
 		perCore:   cfg.IPS / float64(len(gens)),
 		refDue:    make([]dram.Time, cfg.Geometry.SubChannels),
@@ -152,6 +157,7 @@ func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Run
 		}
 		r.gens[c].Next(&r.coreOp[c])
 		r.coreInstr[c] = float64(r.coreOp[c].Gap + 1)
+		r.coreAt[c] = r.coreTime(c)
 	}
 	return r, nil
 }
@@ -175,13 +181,15 @@ func (r *Runner) coreTime(c int) dram.Time {
 func (r *Runner) Run(until dram.Time, obs Observer) {
 	g := r.cfg.Geometry
 	for {
-		// Next core event.
+		// Next core event: the lowest-numbered core with the earliest
+		// clock. A branch-free min, then one scan for its first holder.
+		tc := r.coreAt[0]
+		for _, ti := range r.coreAt[1:] {
+			tc = min(tc, ti)
+		}
 		c := 0
-		tc := r.coreTime(0)
-		for i := 1; i < len(r.coreInstr); i++ {
-			if ti := r.coreTime(i); ti < tc {
-				c, tc = i, ti
-			}
+		for r.coreAt[c] != tc {
+			c++
 		}
 		if tc >= until {
 			r.fireREFs(until)
@@ -217,6 +225,7 @@ func (r *Runner) Run(until dram.Time, obs Observer) {
 		// Advance the core to its next operation.
 		r.gens[c].Next(&r.coreOp[c])
 		r.coreInstr[c] += float64(r.coreOp[c].Gap + 1)
+		r.coreAt[c] = r.coreTime(c)
 	}
 }
 

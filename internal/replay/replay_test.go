@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"math"
 	"testing"
 
 	"mirza/internal/core"
@@ -103,6 +104,13 @@ func TestReplayDrivesMitigator(t *testing.T) {
 func TestReplayValidation(t *testing.T) {
 	if _, err := NewRunner(Config{}, gens(t, "mcf", 2), nil); err == nil {
 		t.Error("zero IPS must be rejected")
+	}
+	// A NaN or infinite rate gives the cores NaN or zero clocks, and Run
+	// would never reach its end time.
+	for _, ips := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if _, err := NewRunner(Config{IPS: ips}, gens(t, "mcf", 2), nil); err == nil {
+			t.Errorf("IPS=%v must be rejected", ips)
+		}
 	}
 	if _, err := NewRunner(Config{IPS: 1e9}, nil, nil); err == nil {
 		t.Error("no generators must be rejected")

@@ -83,6 +83,12 @@ func (b *ExperimentsBackend) Prepare(req *Request) (*Prepared, error) {
 	}
 	if req.MeasureMS > 0 {
 		opts.Measure = dram.Time(req.MeasureMS * float64(dram.Millisecond))
+		// A window that rounds to 0 ps (or overflows) measures nothing:
+		// the calibrated instruction rate would be 0/0 and every replay
+		// built on it would hang.
+		if opts.Measure <= 0 {
+			return nil, fmt.Errorf("measure_ms=%g is not a usable measurement window (1 ps = 1e-9 ms resolution)", req.MeasureMS)
+		}
 	}
 	if req.WarmupMS > 0 {
 		opts.Warmup = dram.Time(req.WarmupMS * float64(dram.Millisecond))

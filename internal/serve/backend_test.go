@@ -24,6 +24,8 @@ func TestExperimentsBackendPrepareValidation(t *testing.T) {
 		{"bad fault plan", Request{Experiment: "fig3", Faults: "zzzz"}, "faults"},
 		{"negative measure", Request{Experiment: "fig3", MeasureMS: -1}, ">= 0"},
 		{"negative warmup", Request{Experiment: "fig3", WarmupMS: -0.5}, ">= 0"},
+		{"measure rounds to zero", Request{Experiment: "fig3", MeasureMS: 1e-10}, "measurement window"},
+		{"measure overflows", Request{Experiment: "fig3", MeasureMS: 1e12}, "measurement window"},
 		{"one replay window", Request{Experiment: "fig3", ReplayWindows: 1}, "replay_windows"},
 		{"negative timeout", Request{Experiment: "fig3", TimeoutMS: -3}, "timeout_ms"},
 		{"unknown workload", Request{Experiment: "fig3", Workloads: []string{"quake"}}, "quake"},

@@ -674,6 +674,20 @@ func TestSubmitUnknownMitigationIs400(t *testing.T) {
 	}
 }
 
+// TestSubmitEmptyMeasureWindowIs400: a measure_ms that rounds to a 0 ps
+// window used to be accepted and hang its worker (the calibrated rate was
+// 0/0, so the replay clock never advanced).
+func TestSubmitEmptyMeasureWindowIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, &ExperimentsBackend{})
+	code, doc, _ := submit(t, ts, `{"experiment":"table8","quick":true,"measure_ms":1e-10}`, false)
+	if code != http.StatusBadRequest {
+		t.Fatalf("code %d, want 400 (doc %v)", code, doc)
+	}
+	if msg, _ := doc["error"].(string); !strings.Contains(msg, "measure_ms") {
+		t.Errorf("error %q does not name measure_ms", msg)
+	}
+}
+
 func TestResultBeforeDoneIs409(t *testing.T) {
 	fb := newFakeBackend()
 	release := fb.blockOn("pending")

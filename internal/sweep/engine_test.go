@@ -385,3 +385,35 @@ func TestInvalidCacheEntryReruns(t *testing.T) {
 		t.Fatalf("rerun after cache corruption produced different bytes")
 	}
 }
+
+// TestEmptyMeasureWindowRejected: a measure_ms that rounds to a 0 ps
+// window used to pass Prepare and hang the shard's replay forever. The
+// grid is now refused before any worker starts, and a worker handed the
+// same request directly (mirza-bench -shard) refuses it with exit 2.
+func TestEmptyMeasureWindowRejected(t *testing.T) {
+	bin := needBench(t)
+	eng, err := NewEngine(Options{Bench: bin, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &Grid{Experiments: []string{"table8"}, Quick: true, MeasureMS: 1e-10}
+	if _, err := eng.Run(context.Background(), g); err == nil || !strings.Contains(err.Error(), "measure_ms") {
+		t.Fatalf("grid error = %v, want a measure_ms rejection", err)
+	}
+
+	dir := t.TempDir()
+	req := filepath.Join(dir, "req.json")
+	if err := os.WriteFile(req, []byte(`{"experiment":"table8","quick":true,"measure_ms":1e-10}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-shard", req, "-shard-out", filepath.Join(dir, "out.json"))
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("mirza-bench -shard: %v (stderr %q), want exit 2", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "measure_ms") {
+		t.Errorf("stderr %q does not name measure_ms", stderr.String())
+	}
+}

@@ -172,3 +172,25 @@ func TestOwnership(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoMatchesMap drives interleaved address spaces whose memo slots
+// collide (asids 16 apart) through a mapper and checks every translation
+// against a reference mapper whose memo is cleared before each lookup:
+// the memo must never return another space's or another superblock's
+// placement.
+func TestMemoMatchesMap(t *testing.T) {
+	warm, ref := NewMapper(32<<30), NewMapper(32<<30)
+	asids := []int{0, 1, memoSlots, memoSlots + 1, 3 * memoSlots}
+	for i := 0; i < 4000; i++ {
+		asid := asids[(i*7)%len(asids)]
+		vaddr := uint64(i%5)*SuperBytes + uint64(i*4096)%SuperBytes
+		got := warm.Translate(asid, vaddr)
+		ref.memo = [memoSlots]memoEntry{} // ref always takes the map path
+		if want := ref.Translate(asid, vaddr); got != want {
+			t.Fatalf("step %d asid %d vaddr %#x: memo path %#x, map path %#x", i, asid, vaddr, got, want)
+		}
+	}
+	if warm.MappedBlocks() != ref.MappedBlocks() {
+		t.Errorf("mapped blocks %d vs %d", warm.MappedBlocks(), ref.MappedBlocks())
+	}
+}
