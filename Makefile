@@ -15,8 +15,12 @@ SHORT_ENV = MIRZA_MEASURE_MS=0.2 MIRZA_WARMUP_MS=0.1 MIRZA_REPLAY_WINDOWS=2 MIRZ
 
 check: vet build test-race test-telemetry
 
+# vet also fails on any file gofmt would change (the perfbench build
+# directory is skipped: it is build output, not source).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' -not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

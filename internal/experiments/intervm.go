@@ -8,8 +8,8 @@ import (
 	"mirza/internal/mem"
 	"mirza/internal/telemetry"
 	"mirza/internal/tenant"
-	"mirza/internal/track"
 	"mirza/internal/trace"
+	"mirza/internal/track"
 )
 
 // intervmPolicies is the default mitigation grid of the inter-VM study:

@@ -135,11 +135,11 @@ func (s *benchSystem) advance(d dram.Time) {
 
 // BenchmarkFig3 measures one steady-state simulated-time slice per op, so
 // ns/op is directly comparable between impls (same simulated work per op).
-// fotonik3d is the bandwidth-heavy case (62% bus utilisation: the command
-// scans dominate); blender is the low-MPKI case (16%: idle fast-forward
-// dominates).
+// fotonik3d is the bandwidth-heavy case (62% bus utilisation, ~33 window
+// entries per scheduling pass); xz sits in between (~12 entries); blender
+// is the low-MPKI case (16%, ~2 entries: idle fast-forward dominates).
 func BenchmarkFig3(b *testing.B) {
-	for _, workload := range []string{"fotonik3d", "blender"} {
+	for _, workload := range []string{"fotonik3d", "xz", "blender"} {
 		for _, impl := range []string{"event", "legacy"} {
 			b.Run("impl="+impl+"/workload="+workload, func(b *testing.B) {
 				s := newBenchSystem(b, impl, workload, nil)

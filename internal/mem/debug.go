@@ -9,6 +9,10 @@ type DebugOptions struct {
 	// scheduler wake performed (0 = the wake made no progress).
 	Wake func(progress int)
 
+	// Pass, when non-nil, sees the sub-channel after every scheduling
+	// pass, whether or not it issued anything.
+	Pass func(s *SubChannel)
+
 	// SkipFAW disables the four-activation-window pacing check. It exists
 	// solely so the audit tests can prove the auditor catches a controller
 	// that stops honouring tFAW.

@@ -29,11 +29,20 @@ type diffCmd struct {
 	at     dram.Time
 }
 
-// diffObs records every command into a flat stream.
-type diffObs struct{ cmds []diffCmd }
+// diffObs records every command into a flat stream. With depth set it
+// also tracks the deepest any sub-channel queue got, sampled at each
+// submit.
+type diffObs struct {
+	cmds  []diffCmd
+	depth func(sub int) int
+	peak  int
+}
 
 func (o *diffObs) ObserveSubmit(sub int, write bool, now dram.Time) {
 	o.cmds = append(o.cmds, diffCmd{kind: "submit", sub: sub, write: write, at: now})
+	if o.depth != nil {
+		o.peak = max(o.peak, o.depth(sub))
+	}
 }
 func (o *diffObs) ObserveACT(sub, bank, row int, now dram.Time) {
 	o.cmds = append(o.cmds, diffCmd{kind: "act", sub: sub, bank: bank, row: row, at: now})
@@ -118,21 +127,23 @@ func (f *diffFeeder) Fire(now dram.Time) {
 }
 
 // diffScenario runs one traffic schedule against a channel flavour and
-// returns the observed command stream, final stats, and completion times.
-func diffScenario(t *testing.T, cfg Config, build func(*sim.Kernel, Config) (submitter, func() Stats), seed uint64, n int, gap, horizon dram.Time) ([]diffCmd, Stats, []dram.Time) {
+// returns the observed command stream, final stats, and (new path only)
+// the peak per-sub-channel queue depth.
+func diffScenario(t *testing.T, cfg Config, build func(*sim.Kernel, Config) (submitter, func() Stats), seed uint64, n int, gap, horizon dram.Time) ([]diffCmd, Stats, int) {
 	t.Helper()
 	k := &sim.Kernel{}
 	ch, stats := build(k, cfg)
 	obs := &diffObs{}
 	switch c := ch.(type) {
 	case *Channel:
+		obs.depth = func(sub int) int { return c.SubChannel(sub).PendingRequests() }
 		c.InstallObserver(obs)
 	case *LegacyChannel:
 		c.InstallObserver(obs)
 	}
 	newDiffFeeder(k, ch, seed, n, gap)
 	k.RunUntil(horizon)
-	return obs.cmds, stats(), nil
+	return obs.cmds, stats(), obs.peak
 }
 
 func buildNew(k *sim.Kernel, cfg Config) (submitter, func() Stats) {
@@ -196,11 +207,20 @@ func TestDifferentialCommandStream(t *testing.T) {
 			n:    600,
 			gap:  600 * dram.Nanosecond,
 		},
+		{
+			// Queues deeper than the window: arrivals beyond it,
+			// arrivalWake's beyond-window branch, and entries joining the
+			// window as older ones are served.
+			name: "small-window",
+			cfg:  Config{WindowDepth: 8, RFMBAT: 16},
+			n:    4000,
+			gap:  15 * dram.Nanosecond,
+		},
 	}
 	const horizon = 300 * dram.Microsecond
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			gotCmds, gotStats, _ := diffScenario(t, tc.cfg, buildNew, 99, tc.n, tc.gap, horizon)
+			gotCmds, gotStats, peak := diffScenario(t, tc.cfg, buildNew, 99, tc.n, tc.gap, horizon)
 			wantCmds, wantStats, _ := diffScenario(t, tc.cfg, buildLegacy, 99, tc.n, tc.gap, horizon)
 			if len(gotCmds) == 0 {
 				t.Fatal("scenario produced no commands")
@@ -226,6 +246,9 @@ func TestDifferentialCommandStream(t *testing.T) {
 			}
 			// Sanity: the scenarios must actually exercise their features.
 			assertCoverage(t, tc.name, gotStats)
+			if d := tc.cfg.WindowDepth; d > 0 && peak <= d {
+				t.Errorf("peak queue depth %d never exceeded WindowDepth %d", peak, d)
+			}
 		})
 	}
 }
@@ -242,7 +265,7 @@ func assertCoverage(t *testing.T, name string, st Stats) {
 		{"refs", st.REFs > 0},
 	}
 	switch name {
-	case "rfm-rowpress", "wide-geometry":
+	case "rfm-rowpress", "wide-geometry", "small-window":
 		checks = append(checks, struct {
 			label string
 			ok    bool

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"math/bits"
 	"strconv"
 
@@ -45,19 +46,12 @@ type SubChannel struct {
 	rfmPending dram.BankSet // banks owing a proactive RFM before their next ACT
 	rfmCount   int          // popcount of rfmPending, kept for O(1) emptiness
 
-	// bankBit[b] is 1<<b for banks below 64 and 0 above: the per-bank
-	// dedup-mask bit, computed once per request at submit.
-	bankBit []uint64
-
-	queue []*Request
-	// qKey and qBit mirror queue[i] into flat per-entry words — the
-	// packed (row, bank) key (row<<32|bank) and the bank's dedup-mask
-	// bit — so the scheduling scan streams two sequential slices
-	// instead of chasing *Request pointers or random-indexing a
-	// per-bank table.
-	qKey    []uint64
-	qBit    []uint64
+	queue   []*Request
 	nextEnq int64
+	// win summarises the scheduling window (the first WindowDepth queue
+	// entries) per bank, kept current at every event that changes it, so
+	// a scheduling pass reads bank sets instead of walking the window.
+	win schedWindow
 
 	faw       []dram.Time // times of the last 4 ACTs (ring)
 	fawIdx    int
@@ -95,10 +89,11 @@ type SubChannel struct {
 	wakes int64 // kernel wakes delivered (mem_wakes_total)
 	steps int64 // step transitions across all wakes (mem_wake_steps_total)
 
-	// hitSet/confSet classify banks against the current scheduling window
-	// (pending row hit / pending row conflict). They are rebuilt per pass;
-	// resetting costs one word write per 64 banks.
-	hitSet, confSet dram.BankSet
+	// hitSet is win.hit as of the last completed scheduling pass. It is
+	// a snapshot, not the live set, because arrivalWake reads it between
+	// passes and must see the classification the armed time was computed
+	// from.
+	hitSet dram.BankSet
 
 	// obs, when non-nil, shadows every command the sub-channel issues
 	// (protocol auditing, test instrumentation). Each command site pays
@@ -127,17 +122,13 @@ func newSubChannel(k *sim.Kernel, cfg Config, id int) *SubChannel {
 		actCounter:    make([]int32, nb),
 		open:          dram.NewBankSet(nb),
 		rfmPending:    dram.NewBankSet(nb),
+		win:           newSchedWindow(cfg.WindowDepth, nb),
 		hitSet:        dram.NewBankSet(nb),
-		confSet:       dram.NewBankSet(nb),
 		faw:           make([]dram.Time, 4),
 		refDue:        cfg.Timing.TREFI,
 		actSinceAlert: true,
 	}
 	s.wakeEv.Bind((*subWake)(s))
-	s.bankBit = make([]uint64, nb)
-	for b := 0; b < nb && b < 64; b++ {
-		s.bankBit[b] = 1 << uint(b)
-	}
 	for i := range s.openRow {
 		s.openRow[i] = -1
 	}
@@ -185,8 +176,9 @@ func (s *SubChannel) submit(r *Request) {
 	r.enqueue = s.nextEnq
 	s.nextEnq++
 	s.queue = append(s.queue, r)
-	s.qKey = append(s.qKey, uint64(uint32(r.addr.Row))<<32|uint64(uint32(r.addr.Bank)))
-	s.qBit = append(s.qBit, s.bankBit[r.addr.Bank])
+	if len(s.queue) <= s.cfg.WindowDepth {
+		s.win.add(r, s.openRow[r.addr.Bank])
+	}
 	if s.obs != nil {
 		s.obs.ObserveSubmit(s.id, r.Write, r.arrive)
 	}
@@ -210,7 +202,7 @@ func (s *SubChannel) submit(r *Request) {
 // kernel event sequencing identical to an always-scan controller, which
 // closed-loop runs observe through same-instant completion ordering —
 // but when the merged time is still in the future the wake re-arms in
-// O(1) instead of walking the window and the bank planes.
+// O(1) instead of running a scheduling pass.
 //
 // For an in-window arrival in the normal (unblocked) state, the entry
 // only ever *enables* its own command sort: demand precharge at
@@ -275,18 +267,24 @@ func (s *SubChannel) arrivalWake(b int, row int32) dram.Time {
 	}
 }
 
-// dequeue removes queue slot i, keeping the flat mirrors in step. The
-// vacated pointer slot is cleared so the retired *Request (and its bound
-// done event) does not stay reachable through the backing array.
-func (s *SubChannel) dequeue(i int) {
+// dequeue removes r, the oldest window hit on bank b, which a column
+// command just served, and pulls the next queued request into the window.
+// The vacated pointer slot is cleared so the retired *Request (and its
+// bound done event) does not stay reachable through the backing array.
+func (s *SubChannel) dequeue(r *Request, b int) {
+	s.win.removeHit(b, s.openRow[b])
+	i := 0
+	for s.queue[i] != r {
+		i++
+	}
 	last := len(s.queue) - 1
 	copy(s.queue[i:], s.queue[i+1:])
 	s.queue[last] = nil
 	s.queue = s.queue[:last]
-	copy(s.qKey[i:], s.qKey[i+1:])
-	s.qKey = s.qKey[:last]
-	copy(s.qBit[i:], s.qBit[i+1:])
-	s.qBit = s.qBit[:last]
+	if d := s.cfg.WindowDepth; last >= d {
+		r := s.queue[d-1]
+		s.win.add(r, s.openRow[r.addr.Bank])
+	}
 }
 
 // subWake adapts a SubChannel to sim.Handler for its wake event.
@@ -300,7 +298,7 @@ func (s *SubChannel) wake() {
 		// the last scan lies strictly in the future, so a scan would issue
 		// nothing and re-arm at exactly nextAction — do that re-arm (with
 		// this instant's event ordering, like the scan would) and skip the
-		// window/bank walk.
+		// scheduling pass.
 		s.wakes++
 		if d := debugOpts; d != nil && d.Wake != nil {
 			d.Wake(0)
@@ -308,13 +306,21 @@ func (s *SubChannel) wake() {
 		s.k.Reschedule(&s.wakeEv, s.nextAction)
 		return
 	}
+	d := debugOpts
 	n := 0
-	for s.pass() {
+	for {
+		fired := s.pass()
+		if d != nil && d.Pass != nil {
+			d.Pass(s)
+		}
+		if !fired {
+			break
+		}
 		n++
 	}
 	s.wakes++
 	s.steps += int64(n)
-	if d := debugOpts; d != nil && d.Wake != nil {
+	if d != nil && d.Wake != nil {
 		d.Wake(n)
 	}
 }
@@ -342,13 +348,11 @@ const never = dram.Time(1) << 62
 // current instant — ALERT bookkeeping, demand REF, ALERT initiation, RFM,
 // column, precharge, activate, in that strict order — and reports whether
 // one fired (zero-delay actions chain until quiescent). When nothing
-// fires, the very same traversals have already collected the earliest
-// future candidate time for every transition sort, and pass arms the wake
-// there before returning false. Fusing the issue scan and the arm scan is
-// the second half of the fast-forward redesign: the old shape paid a full
-// window walk per issued command plus a classify-and-rescan in arm(); the
-// fused pass pays one window traversal that issues, classifies and
-// collects candidates in a single sweep.
+// fires, the very same loops have already collected the earliest future
+// candidate time for every transition sort, and pass arms the wake there
+// before returning false. The scheduling window enters only through its
+// per-bank summary (s.win): every loop below visits set bits of a bank
+// set, never a queued entry.
 func (s *SubChannel) pass() bool {
 	now := s.k.Now()
 	t := &s.cfg.Timing
@@ -416,8 +420,7 @@ func (s *SubChannel) pass() bool {
 	}
 
 	// Proactive RFM execution. Wake candidates for still-blocked pending
-	// banks need the hit classification, so they are collected after the
-	// window traversal below.
+	// banks are collected with the other candidates below.
 	if s.rfmCount > 0 {
 		for wi, w := range s.rfmPending.Words() {
 			for base := wi << 6; w != 0; w &= w - 1 {
@@ -446,11 +449,6 @@ func (s *SubChannel) pass() bool {
 		}
 	}
 
-	window := len(s.queue)
-	if window > s.cfg.WindowDepth {
-		window = s.cfg.WindowDepth
-	}
-
 	next := never
 	if s.alertState == alertPrologue {
 		next = s.alertStallAt
@@ -459,113 +457,48 @@ func (s *SubChannel) pass() bool {
 		next = s.refDue // refresh is self-sustaining
 	}
 
-	// One traversal of the scheduling window does triple duty: issue the
-	// oldest ready column command, classify banks against the window
-	// (pending row hit / pending row conflict) for the precharge policy,
-	// and collect the column/activate wake candidates. The bus test for
-	// column issue is loop-invariant; a hit behind a busy bus wakes when
-	// the bus frees (busFreeAt - tCL), a blocked activate at the latest of
-	// its bank timers and the channel-level pacing gates.
-	hitW := s.hitSet.Words()
-	confW := s.confSet.Words()
-	if len(hitW) > 1 {
-		s.hitSet.Reset()
-		s.confSet.Reset()
-	}
-	busOK := s.busFreeAt <= now+t.TCL
-	busEarliest := s.busFreeAt - t.TCL
-	skipFAW := debugSkipFAW
-	trrdGate := s.lastActAt + t.TRRD
-	fawGate := s.faw[s.fawIdx] + t.TFAW
-	actIdx := -1
-	// Per-bank dedup: the window (up to 64 entries) repeats banks heavily,
-	// and every entry after the first of its class on a bank is fully
-	// redundant — the bank state is identical, so it reaches the same
-	// issue decision and the same wake candidate, and FR-FCFS age order
-	// already favoured the earlier entry. The register masks cover banks
-	// < 64 and double as word zero of hitSet/confSet, stored once when
-	// the traversal completes; larger geometries keep per-entry set
-	// updates for the excess banks (still correct, just slower). Between
-	// scans the sets stay valid — arrivalWake reads hitSet for the
-	// pending-hit precharge veto — because only the final (arming) pass
-	// of a wake is observable out there and it always completes the
-	// traversal.
-	// resolved accumulates banks no further entry can say anything new
-	// about — closed banks after their first entry, open banks once both
-	// a hit and a conflict are recorded — so the dense tail of a deep
-	// window skips in two instructions without touching the bank planes.
-	var seenHit, seenConf, seenClosed, resolved uint64
-	qKey := s.qKey[:window]
-	qBit := s.qBit[:window]
-	// Reslicing every timing plane to the openRow length lets the first
-	// openRow[b] access prove b in range for the rest (one bounds check
-	// per entry instead of one per plane).
-	openRow := s.openRow
-	colReadyAt := s.colReadyAt[:len(openRow)]
-	actReadyAt := s.actReadyAt[:len(openRow)]
-	idleAt := s.idleAt[:len(openRow)]
-	for i := 0; i < window; i++ {
-		key := qKey[i]
-		bit := qBit[i]
-		if resolved&bit != 0 {
-			continue
-		}
-		b := int(uint32(key))
-		switch row := openRow[b]; {
-		case row == int32(key>>32):
-			if seenHit&bit != 0 {
-				continue
-			}
-			seenHit |= bit
-			resolved |= seenConf & bit
-			at := colReadyAt[b]
-			if busOK && now >= at {
-				r := s.queue[i]
-				s.issueColumn(r, b, now)
-				s.dequeue(i)
-				return true
-			}
-			if bit == 0 {
-				s.hitSet.Set(b)
-			}
-			if busEarliest > at {
-				at = busEarliest
-			}
-			if at < next {
-				next = at
-			}
-		case row >= 0:
-			if seenConf&bit != 0 {
-				continue
-			}
-			seenConf |= bit
-			resolved |= seenHit & bit
-			if bit == 0 {
-				s.confSet.Set(b)
-			}
-		default:
-			seenClosed |= bit
-			resolved |= bit
-			at := actReadyAt[b]
-			if ia := idleAt[b]; ia > at {
-				at = ia
-			}
-			if actIdx < 0 && now >= at && !s.rfmPending.Test(b) {
-				actIdx = i
-			}
-			if fawGate > at && !skipFAW {
-				at = fawGate
-			}
-			if trrdGate > at {
-				at = trrdGate
-			}
-			if at < next {
-				next = at
+	// Column: the oldest window hit on a column-ready bank issues (FR
+	// first, then FCFS by enqueue age). A hit that cannot issue wakes when
+	// both its bank and the bus allow it (busFreeAt - tCL).
+	hitW := s.win.hit.Words()
+	banks := s.win.banks
+	pool := s.win.pool
+	colReadyAt := s.colReadyAt[:len(banks)]
+	if busEarliest := s.busFreeAt - t.TCL; busEarliest > now {
+		// Bus busy: nothing issues, and the hits' wake candidate is
+		// max(earliest colReadyAt, busEarliest), so the scan can stop at
+		// the first hit bank that is ready by the time the bus frees.
+		at := never
+	hits:
+		for wi, w := range hitW {
+			for base := wi << 6; w != 0; w &= w - 1 {
+				if c := colReadyAt[base+bits.TrailingZeros64(w)]; c < at {
+					if at = c; at <= busEarliest {
+						break hits
+					}
+				}
 			}
 		}
+		next = min(next, max(at, busEarliest))
+	} else {
+		colBank, colSeq := -1, int64(math.MaxInt64)
+		for wi, w := range hitW {
+			for base := wi << 6; w != 0; w &= w - 1 {
+				b := base + bits.TrailingZeros64(w)
+				if at := colReadyAt[b]; at > now {
+					next = min(next, at)
+				} else if seq := banks[b].hitSeq; seq < colSeq {
+					colBank, colSeq = b, seq
+				}
+			}
+		}
+		if colBank >= 0 {
+			r := pool[banks[colBank].hit].req
+			s.issueColumn(r, colBank, now)
+			s.dequeue(r, colBank)
+			return true
+		}
 	}
-	hitW[0] = seenHit
-	confW[0] = seenConf
 
 	// RFM wake candidates: a pending bank fires at preReady (open, no
 	// hit) or at idle (closed).
@@ -589,13 +522,15 @@ func (s *SubChannel) pass() bool {
 	// A non-issuable open bank contributes its close time — immediately
 	// at preReady for a pending conflict, the soft close-page point
 	// otherwise — as a wake candidate. Hit-bearing banks are masked out
-	// wholesale (soft close-page: pending hits are served first).
+	// wholesale (soft close-page: pending hits are served first); on the
+	// rest, every window entry is a conflict.
+	presentW := s.win.present.Words()
 	for wi, w := range s.open.Words() {
 		w &^= hitW[wi]
-		cw := confW[wi]
+		pw := presentW[wi]
 		for base := wi << 6; w != 0; w &= w - 1 {
 			b := base + bits.TrailingZeros64(w)
-			conf := cw&(w&-w) != 0
+			conf := pw&(w&-w) != 0
 			if now >= s.preReadyAt[b] && (conf || now-s.openedAt[b] >= t.TRAS) {
 				s.precharge(b, now, false)
 				return true
@@ -610,12 +545,62 @@ func (s *SubChannel) pass() bool {
 		}
 	}
 
-	// Activate the oldest eligible request, gated by the channel-level
-	// ACT pacing (tRRD and the four-activation window).
-	if actIdx >= 0 && now >= trrdGate && (skipFAW || now >= fawGate) {
-		key := s.qKey[actIdx]
-		s.activate(int(uint32(key)), int(key>>32), now)
-		return true
+	// Activate: the oldest window entry whose bank is closed, ready, and
+	// owes no RFM, gated by the channel-level ACT pacing (tRRD and the
+	// four-activation window). Every closed bank with a window entry wakes
+	// at the latest of its bank timers and the pacing gate.
+	actReadyAt := s.actReadyAt[:len(banks)]
+	idleAt := s.idleAt[:len(banks)]
+	openW := s.open.Words()
+	gate := s.lastActAt + t.TRRD
+	if f := s.faw[s.fawIdx] + t.TFAW; f > gate && !debugSkipFAW {
+		gate = f
+	}
+	if gate > now {
+		// Pacing blocks every ACT: the candidate is max(earliest bank
+		// ready time, gate), so the scan can stop at the first bank ready
+		// by the gate.
+		at := never
+	acts:
+		for wi, w := range presentW {
+			w &^= openW[wi]
+			for base := wi << 6; w != 0; w &= w - 1 {
+				b := base + bits.TrailingZeros64(w)
+				if c := max(actReadyAt[b], idleAt[b]); c < at {
+					if at = c; at <= gate {
+						break acts
+					}
+				}
+			}
+		}
+		next = min(next, max(at, gate))
+	} else {
+		rfmW := s.rfmPending.Words()
+		actBank, actSeq := -1, int64(math.MaxInt64)
+		for wi, w := range presentW {
+			w &^= openW[wi]
+			rw := rfmW[wi]
+			for base := wi << 6; w != 0; w &= w - 1 {
+				b := base + bits.TrailingZeros64(w)
+				at := max(actReadyAt[b], idleAt[b])
+				if at <= now && rw&(w&-w) == 0 {
+					if seq := pool[banks[b].head].seq; seq < actSeq {
+						actBank, actSeq = b, seq
+					}
+				} else {
+					next = min(next, max(at, gate))
+				}
+			}
+		}
+		if actBank >= 0 {
+			s.activate(actBank, int(pool[banks[actBank].head].row), now)
+			return true
+		}
+	}
+	// This pass arms the wake: snapshot the hit set for arrivalWake.
+	snap := s.hitSet.Words()
+	for wi, w := range hitW {
+		snap[wi] = w
 	}
 
 	if next < never && next <= now {
@@ -741,6 +726,7 @@ func (s *SubChannel) precharge(bank int, now dram.Time, forced bool) {
 	}
 	s.openRow[bank] = -1
 	s.open.Clear(bank)
+	s.win.closed(bank)
 	s.actReadyAt.Raise(bank, now+t.TRP)
 	s.idleAt[bank] = now + t.TRP
 	s.stats.PREs++
@@ -753,6 +739,7 @@ func (s *SubChannel) activate(bank, row int, now dram.Time) {
 	t := &s.cfg.Timing
 	s.openRow[bank] = int32(row)
 	s.open.Set(bank)
+	s.win.opened(bank, int32(row))
 	s.openedAt[bank] = now
 	s.colReadyAt[bank] = now + t.TRCD
 	s.preReadyAt[bank] = now + t.TRAS
