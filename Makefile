@@ -11,7 +11,7 @@ GO ?= go
 # parallel path, not just -j 1.
 SHORT_ENV = MIRZA_MEASURE_MS=0.2 MIRZA_WARMUP_MS=0.1 MIRZA_REPLAY_WINDOWS=2 MIRZA_WORKLOADS=xz MIRZA_PARALLELISM=4
 
-.PHONY: check vet build test test-race test-telemetry serve-check trace-check sweep-check audit conformance bench bench-smoke bench-mem perfbench-check clean
+.PHONY: check vet build test test-race test-telemetry serve-check trace-check sweep-check audit conformance fuzz-smoke bench bench-smoke bench-mem perfbench-check clean
 
 check: vet build test-race test-telemetry
 
@@ -84,6 +84,14 @@ audit:
 # as "policy [check]: detail" and fails the run.
 conformance:
 	$(GO) test -race -count=1 ./internal/track/conformance/
+
+# Fuzz smoke: 10 s of FuzzBuildMitigation on the -mitigation trust
+# boundary (spec string -> cliflags.ParseMitigation -> track.Build -> two
+# sub-channel instances -> a short ACT/REF/RFM/ALERT sequence; no panic,
+# and a successful Build must construct). Two workers keep it light. A
+# failing input is written under internal/track/policies/testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzBuildMitigation -fuzztime=10s -parallel=2 ./internal/track/policies/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=NONE ./...

@@ -17,6 +17,7 @@ import (
 	"mirza/internal/mem"
 	"mirza/internal/sim"
 	"mirza/internal/track"
+	"mirza/internal/track/policies"
 )
 
 func main() {
@@ -51,18 +52,21 @@ func main() {
 	fmt.Println("\n--- MoPAC: probabilistic PRAC counting ---")
 	g := dram.Default()
 	for _, p := range []float64{1.0, 0.25, 0.125} {
-		ath := track.MoPACDeratedATH(1000, p)
-		m := track.NewMoPAC(track.MoPACConfig{
+		ath := policies.MoPACDeratedATH(1000, p)
+		m, err := policies.NewPRAC(policies.PRACConfig{
 			Geometry: g, Mapping: dram.StridedR2SA,
 			SampleProb: p, AlertThreshold: ath, Seed: 7,
 		}, track.NopSink{})
+		if err != nil {
+			panic(err)
+		}
 		acts := 0
 		for !m.WantsALERT() && acts < 100000 {
 			m.OnActivate(0, 777, 0)
 			acts++
 		}
 		fmt.Printf("  p=%-6.3f derated ATH=%-4d ALERT after %5d ACTs (deterministic budget %d)\n",
-			p, ath, acts, track.ATHForTRHD(1000))
+			p, ath, acts, policies.ATHForTRHD(1000))
 	}
 	fmt.Println("  (lower sampling keeps PRAC's timings near baseline but burns")
 	fmt.Println("   threshold budget as statistical slack — and the per-row DRAM")

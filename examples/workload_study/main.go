@@ -17,6 +17,7 @@ import (
 	"mirza/internal/mem"
 	"mirza/internal/trace"
 	"mirza/internal/track"
+	"mirza/internal/track/policies"
 )
 
 func main() {
@@ -74,10 +75,14 @@ func main() {
 		return core.MustNew(cfg, sink)
 	})
 	prac := run("PRAC+ABO", dram.PRAC(), func(sub int, sink track.Sink) track.Mitigator {
-		return track.NewPRAC(track.PRACConfig{
+		m, err := policies.NewPRAC(policies.PRACConfig{
 			Geometry: dram.Default(), Mapping: dram.StridedR2SA,
-			AlertThreshold: track.ATHForTRHD(1000),
+			AlertThreshold: policies.ATHForTRHD(1000),
 		}, sink)
+		if err != nil {
+			panic(err)
+		}
+		return m
 	})
 
 	fmt.Printf("%-16s %8s %10s %9s %8s %13s\n",

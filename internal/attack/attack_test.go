@@ -7,6 +7,7 @@ import (
 	"mirza/internal/dram"
 	"mirza/internal/security"
 	"mirza/internal/track"
+	"mirza/internal/track/policies"
 )
 
 func mirzaSim(t *testing.T, trhd int, seed uint64) *BankSim {
@@ -216,16 +217,20 @@ func TestEdgeAttackEngagesBothRegions(t *testing.T) {
 func TestPRACSecureAgainstDoubleSided(t *testing.T) {
 	g := dram.Default()
 	for _, trhd := range []int{500, 1000} {
-		ath := track.ATHForTRHD(trhd)
+		ath := policies.ATHForTRHD(trhd)
 		sim := NewBankSim(BankSimConfig{
 			Geometry: g,
 			Timing:   dram.PRAC(),
 			Mapping:  dram.StridedR2SA,
 			Bank:     0,
 			NewMitigator: func(sink track.Sink) track.Mitigator {
-				return track.NewPRAC(track.PRACConfig{
+				m, err := policies.NewPRAC(policies.PRACConfig{
 					Geometry: g, Mapping: dram.StridedR2SA, AlertThreshold: ath,
 				}, sink)
+				if err != nil {
+					panic(err)
+				}
+				return m
 			},
 		})
 		res := sim.RunWindows(DoubleSided(g, dram.StridedR2SA, 2, 300), 1)
@@ -269,10 +274,14 @@ func TestTRRVulnerableUnderBankSim(t *testing.T) {
 		Mapping:  dram.StridedR2SA,
 		Bank:     0,
 		NewMitigator: func(sink track.Sink) track.Mitigator {
-			return track.NewTRR(track.TRRConfig{
+			m, err := policies.NewTRR(policies.TRRConfig{
 				Geometry: g, Mapping: dram.StridedR2SA,
 				Entries: 28, MitigateEveryREFs: 4, SampleEvery: 16,
 			}, sink)
+			if err != nil {
+				panic(err)
+			}
+			return m
 		},
 	})
 	// 15 hammer ACTs on each aggressor of a double-sided pair, decoy on

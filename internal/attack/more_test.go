@@ -7,6 +7,7 @@ import (
 	"mirza/internal/core"
 	"mirza/internal/dram"
 	"mirza/internal/track"
+	"mirza/internal/track/policies"
 )
 
 func TestDoubleSidedManyPattern(t *testing.T) {
@@ -124,14 +125,18 @@ func TestNaiveMIRZAStillSecure(t *testing.T) {
 // bound a double-sided attack at its derated threshold.
 func TestMoPACUnderAttack(t *testing.T) {
 	g := dram.Default()
-	ath := track.MoPACDeratedATH(1000, 0.25)
+	ath := policies.MoPACDeratedATH(1000, 0.25)
 	sim := NewBankSim(BankSimConfig{
 		Geometry: g, Timing: dram.DDR5(), Mapping: dram.StridedR2SA, Bank: 0,
 		NewMitigator: func(sink track.Sink) track.Mitigator {
-			return track.NewMoPAC(track.MoPACConfig{
+			m, err := policies.NewPRAC(policies.PRACConfig{
 				Geometry: g, Mapping: dram.StridedR2SA,
 				SampleProb: 0.25, AlertThreshold: ath, Seed: 11,
 			}, sink)
+			if err != nil {
+				panic(err)
+			}
+			return m
 		},
 	})
 	res := sim.RunWindows(DoubleSided(g, dram.StridedR2SA, 2, 300), 1)

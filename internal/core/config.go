@@ -136,6 +136,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MINT window must be >= 4 to bound insertions per ALERT (Section V.D), got %d", c.MINTWindow)
 	case c.QueueSize < 1:
 		return fmt.Errorf("core: queue size must be >= 1, got %d", c.QueueSize)
+	case c.QueueSize > c.Geometry.RowsPerBank:
+		// The queue holds unique rows of one bank, and its slots are
+		// allocated up front.
+		return fmt.Errorf("core: queue size %d exceeds the %d rows of a bank", c.QueueSize, c.Geometry.RowsPerBank)
 	case c.QTH < 1:
 		return fmt.Errorf("core: QTH must be >= 1, got %d", c.QTH)
 	}

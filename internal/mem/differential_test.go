@@ -7,6 +7,7 @@ import (
 	"mirza/internal/sim"
 	"mirza/internal/stats"
 	"mirza/internal/track"
+	"mirza/internal/track/policies"
 )
 
 // Differential test: the redesigned struct-of-arrays fast-forward command
@@ -166,10 +167,14 @@ func TestDifferentialCommandStream(t *testing.T) {
 	geomWide := dram.Default()
 	geomWide.BanksPerSubChannel = 128 // > 64: spans multiple bitset words
 	pracFactory := func(sub int, sink track.Sink) track.Mitigator {
-		return track.NewPRAC(track.PRACConfig{
+		m, err := policies.NewPRAC(policies.PRACConfig{
 			Geometry:       dram.Default(),
 			AlertThreshold: 24, // low enough that the hot rows trip ALERT
 		}, sink)
+		if err != nil {
+			panic(err)
+		}
+		return m
 	}
 	cases := []struct {
 		name string

@@ -7,6 +7,7 @@ import (
 	"mirza/internal/dram"
 	"mirza/internal/sim"
 	"mirza/internal/track"
+	"mirza/internal/track/policies"
 )
 
 func newTestChannel(t *testing.T, cfg Config) (*sim.Kernel, *Channel) {
@@ -133,10 +134,14 @@ func TestMINTRFMMitigates(t *testing.T) {
 	k, ch := newTestChannel(t, Config{
 		RFMBAT: 4,
 		NewMitigator: func(sub int, sink track.Sink) track.Mitigator {
-			return track.NewMINT(track.MINTConfig{
+			m, err := policies.NewMINT(policies.MINTConfig{
 				Geometry: g, Mapping: dram.StridedR2SA,
 				Window: 4, MitigateOnRFM: true, Seed: uint64(sub),
 			}, sink)
+			if err != nil {
+				panic(err)
+			}
+			return m
 		},
 	})
 	var dones [16]dram.Time

@@ -8,6 +8,7 @@ import (
 	"mirza/internal/dram"
 	"mirza/internal/sim"
 	"mirza/internal/track"
+	"mirza/internal/track/policies"
 )
 
 // checkWindow rebuilds the scheduling-window summary from scratch — the
@@ -92,7 +93,11 @@ func TestWindowSummaryInvariant(t *testing.T) {
 	geomWide := dram.Default()
 	geomWide.BanksPerSubChannel = 128
 	pracFactory := func(sub int, sink track.Sink) track.Mitigator {
-		return track.NewPRAC(track.PRACConfig{Geometry: dram.Default(), AlertThreshold: 24}, sink)
+		m, err := policies.NewPRAC(policies.PRACConfig{Geometry: dram.Default(), AlertThreshold: 24}, sink)
+		if err != nil {
+			panic(err)
+		}
+		return m
 	}
 	cases := []struct {
 		name string

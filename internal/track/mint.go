@@ -3,7 +3,6 @@ package track
 import (
 	"fmt"
 
-	"mirza/internal/dram"
 	"mirza/internal/stats"
 )
 
@@ -30,27 +29,22 @@ func NewMINTSampler(w int, rng *stats.RNG) *MINTSampler {
 	return s
 }
 
-// Window returns the sampler's window size W.
-func (s *MINTSampler) Window() int { return s.w }
-
 func (s *MINTSampler) reset() {
 	s.count = 0
 	s.target = 1 + s.rng.Intn(s.w)
 	s.hasSel = false
 }
 
-// Observe feeds one activation of row into the current window.
-func (s *MINTSampler) Observe(row int) {
+// Observe feeds one activation of row into the current window and reports
+// whether this activation is the one the window captures.
+func (s *MINTSampler) Observe(row int) (captured bool) {
 	s.count++
 	if s.count == s.target {
 		s.selected = row
 		s.hasSel = true
+		return true
 	}
-}
-
-// Selected returns the currently captured row, if any, without consuming it.
-func (s *MINTSampler) Selected() (row int, ok bool) {
-	return s.selected, s.hasSel
+	return false
 }
 
 // ObserveRolling feeds one activation into a fixed-length window of exactly
@@ -78,119 +72,15 @@ func (s *MINTSampler) Take() (row int, ok bool) {
 	return row, ok
 }
 
-// MINTConfig configures the proactive MINT mitigator.
-type MINTConfig struct {
-	Geometry dram.Geometry
-	Mapping  dram.R2SAMapping
-	Window   int // W: activations per mitigation window
-	// MitigateEveryREFs, if > 0, takes a mitigation opportunity at every
-	// k-th REF command (in-DRAM TRR-style mitigation under REF).
-	MitigateEveryREFs int
-	// MitigateOnRFM, if true, takes a mitigation opportunity whenever the
-	// memory controller issues an RFM to a bank (the MINT+RFM baseline of
-	// Figure 3; the MC issues RFM every Window activations per bank).
-	MitigateOnRFM bool
-	Seed          uint64
-}
-
-// MINT is the proactive randomized tracker baseline: one MINTSampler per
-// bank, mitigating at REF and/or RFM opportunities. It never requests
-// ALERT (it is a purely proactive design).
-type MINT struct {
-	cfg      MINTConfig
-	sink     Sink
-	samplers []*MINTSampler
-	Stats    Stats
-}
-
-var _ Mitigator = (*MINT)(nil)
-
-// NewMINT builds the proactive MINT baseline.
-func NewMINT(cfg MINTConfig, sink Sink) *MINT {
-	if sink == nil {
-		sink = NopSink{}
-	}
-	root := stats.NewRNG(cfg.Seed ^ 0x4d494e54) // "MINT"
-	m := &MINT{cfg: cfg, sink: sink}
-	m.samplers = make([]*MINTSampler, cfg.Geometry.BanksPerSubChannel)
-	for i := range m.samplers {
-		m.samplers[i] = NewMINTSampler(cfg.Window, root.Split())
-	}
-	return m
-}
-
-// Name implements Mitigator.
-func (m *MINT) Name() string { return fmt.Sprintf("MINT-%d", m.cfg.Window) }
-
-// OnActivate implements Mitigator.
-func (m *MINT) OnActivate(bank, row int, now dram.Time) {
-	m.Stats.ACTs++
-	s := m.samplers[bank]
-	s.Observe(row)
-	if s.hasSel && s.count == s.target {
-		// This activation is the one the window captured.
-		m.Stats.Insertions++
-	}
-}
-
-// WantsALERT implements Mitigator; proactive MINT never asserts ALERT.
-func (m *MINT) WantsALERT() bool { return false }
-
-// OnREF implements Mitigator.
-func (m *MINT) OnREF(refIndex int, now dram.Time) {
-	k := m.cfg.MitigateEveryREFs
-	if k <= 0 || refIndex%k != 0 {
-		return
-	}
-	for bank := range m.samplers {
-		m.mitigate(bank, now)
-	}
-}
-
-// OnRFM implements Mitigator.
-func (m *MINT) OnRFM(bank int, now dram.Time) {
-	m.Stats.RFMs++
-	if m.cfg.MitigateOnRFM {
-		m.mitigate(bank, now)
-	}
-}
-
-// ServiceALERT implements Mitigator; proactive MINT never gets here, but a
-// service opportunity is still honoured for robustness.
-func (m *MINT) ServiceALERT(now dram.Time) {
-	for bank := range m.samplers {
-		m.mitigate(bank, now)
-	}
-}
-
-// InjectStateFault implements StateInjector: it flips one bit of a random
-// bank's sampler state — the window position or the random target — the
-// two SRAM fields a transient upset can reach in a MINT implementation.
-func (m *MINT) InjectStateFault(rng *stats.RNG) string {
-	bank := rng.Intn(len(m.samplers))
-	return m.samplers[bank].injectFault(bank, rng)
-}
-
-// injectFault flips one bit of the sampler's 7-bit count or target field
-// (see core.Config.FixedSRAMBytes for the field widths).
-func (s *MINTSampler) injectFault(bank int, rng *stats.RNG) string {
-	bit := rng.Intn(7)
+// InjectFault models one transient upset of the sampler's SRAM: it flips
+// one bit of the 7-bit count or target field (see
+// core.Config.FixedSRAMBytes for the field widths) and names the flip.
+func (s *MINTSampler) InjectFault(rng *stats.RNG) (field string, bit int) {
+	bit = rng.Intn(7)
 	if rng.Intn(2) == 0 {
 		s.count ^= 1 << bit
-		return fmt.Sprintf("mint[bank=%d].count bit %d", bank, bit)
+		return "count", bit
 	}
 	s.target ^= 1 << bit
-	return fmt.Sprintf("mint[bank=%d].target bit %d", bank, bit)
+	return "target", bit
 }
-
-func (m *MINT) mitigate(bank int, now dram.Time) {
-	row, ok := m.samplers[bank].Take()
-	if !ok {
-		return
-	}
-	m.Stats.Mitigations++
-	m.sink.RowMitigated(bank, row, MitigationVictims, now)
-}
-
-// TrackStats implements StatsSource.
-func (m *MINT) TrackStats() Stats { return m.Stats }

@@ -1,38 +1,43 @@
-package track
+package track_test
 
 import (
 	"math"
 	"testing"
 
 	"mirza/internal/dram"
+	"mirza/internal/track"
+	"mirza/internal/track/policies"
 )
 
 func TestMoPACEstimateUnbiased(t *testing.T) {
-	m := NewMoPAC(MoPACConfig{
+	// The largest legal ATH for p=0.25 (ath + 4 - 1 <= 65535): the
+	// 40,000-ACT estimate below never reaches it.
+	m := must(policies.NewPRAC(policies.PRACConfig{
 		Geometry: dram.Default(), Mapping: dram.StridedR2SA,
-		SampleProb: 0.25, AlertThreshold: 1 << 30, Seed: 3,
-	}, nil)
+		SampleProb: 0.25, AlertThreshold: 65532, Seed: 3,
+	}, nil))
 	row := 777
 	const n = 40000
 	for i := 0; i < n; i++ {
 		m.OnActivate(0, row, 0)
 	}
-	got := float64(m.counters[0][row])
+	got := float64(m.MaxCounter(0))
 	if math.Abs(got-n) > 0.05*n {
 		t.Errorf("estimated count %v after %d ACTs, want within 5%%", got, n)
 	}
 }
 
 func TestMoPACAlertsNearDeratedThreshold(t *testing.T) {
-	ath := MoPACDeratedATH(1000, 0.125)
-	base := ATHForTRHD(1000)
+	ath := policies.MoPACDeratedATH(1000, 0.125)
+	base := policies.ATHForTRHD(1000)
 	if ath >= base {
 		t.Fatalf("derated ATH %d must be below deterministic %d", ath, base)
 	}
-	m := NewMoPAC(MoPACConfig{
+	sink := &track.CountingSink{}
+	m := must(policies.NewPRAC(policies.PRACConfig{
 		Geometry: dram.Default(), Mapping: dram.StridedR2SA,
 		SampleProb: 0.125, AlertThreshold: ath, Seed: 9,
-	}, nil)
+	}, sink))
 	row := 4242
 	acts := 0
 	for !m.WantsALERT() && acts < 4*base {
@@ -50,8 +55,6 @@ func TestMoPACAlertsNearDeratedThreshold(t *testing.T) {
 	if acts < ath/4 {
 		t.Errorf("ALERT after only %d ACTs", acts)
 	}
-	sink := &CountingSink{}
-	m.sink = sink
 	m.ServiceALERT(0)
 	if sink.Mitigations != 1 {
 		t.Errorf("mitigations = %d", sink.Mitigations)
@@ -60,10 +63,10 @@ func TestMoPACAlertsNearDeratedThreshold(t *testing.T) {
 
 func TestMoPACRefreshResets(t *testing.T) {
 	g := dram.Default()
-	m := NewMoPAC(MoPACConfig{
+	m := must(policies.NewPRAC(policies.PRACConfig{
 		Geometry: g, Mapping: dram.StridedR2SA,
 		SampleProb: 1, AlertThreshold: 100, Seed: 1,
-	}, nil)
+	}, nil))
 	row := g.RowAt(dram.StridedR2SA, 0, 0)
 	for i := 0; i < 100; i++ {
 		m.OnActivate(0, row, 0)
@@ -75,7 +78,7 @@ func TestMoPACRefreshResets(t *testing.T) {
 	if m.WantsALERT() {
 		t.Error("refresh of the row must clear the pending alert")
 	}
-	if m.counters[0][row] != 0 {
+	if m.MaxCounter(0) != 0 {
 		t.Error("counter not reset")
 	}
 }

@@ -8,6 +8,7 @@ package policies
 
 import (
 	"fmt"
+	"strconv"
 
 	"mirza/internal/dram"
 	"mirza/internal/stats"
@@ -182,7 +183,7 @@ func init() {
 			{Key: "entries", Kind: track.IntParam, Doc: "table entries per bank; 0 derives W/T + 1 (default 0)"},
 		},
 		DefaultConfig: func(cfg track.Config) (track.Params, error) {
-			return track.Params{"threshold": itoa(cfg.TRHD / 4), "entries": "0"}, nil
+			return track.Params{"threshold": strconv.Itoa(cfg.TRHD / 4), "entries": "0"}, nil
 		},
 		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
 			t, err := cfg.Params.Int("threshold")

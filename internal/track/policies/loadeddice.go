@@ -13,6 +13,7 @@ package policies
 
 import (
 	"fmt"
+	"strconv"
 
 	"mirza/internal/dram"
 	"mirza/internal/security"
@@ -151,7 +152,7 @@ func init() {
 		},
 		DefaultConfig: func(cfg track.Config) (track.Params, error) {
 			w := security.DefaultMINTModel().WindowForTRHD(cfg.TRHD)
-			return track.Params{"window": itoa(w)}, nil
+			return track.Params{"window": strconv.Itoa(w)}, nil
 		},
 		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
 			w, err := cfg.Params.Int("window")

@@ -2,6 +2,7 @@ package policies
 
 import (
 	"fmt"
+	"strconv"
 
 	"mirza/internal/core"
 	"mirza/internal/security"
@@ -28,11 +29,11 @@ func mirzaDefaults(cfg track.Config, naive bool) (track.Params, error) {
 		c.FTH = 0 // no coarse-grained filtering: every ACT reaches the sampler
 	}
 	return track.Params{
-		"fth":     itoa(c.FTH),
-		"window":  itoa(c.MINTWindow),
-		"regions": itoa(c.Regions),
-		"queue":   itoa(c.QueueSize),
-		"qth":     itoa(c.QTH),
+		"fth":     strconv.Itoa(c.FTH),
+		"window":  strconv.Itoa(c.MINTWindow),
+		"regions": strconv.Itoa(c.Regions),
+		"queue":   strconv.Itoa(c.QueueSize),
+		"qth":     strconv.Itoa(c.QTH),
 		"reset":   c.ResetPolicy.String(),
 	}, nil
 }

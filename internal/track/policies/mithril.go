@@ -1,11 +1,13 @@
-package track
+package policies
 
 import (
 	"container/heap"
 	"fmt"
 
 	"mirza/internal/dram"
+	"mirza/internal/security"
 	"mirza/internal/stats"
+	"mirza/internal/track"
 )
 
 // spaceSaving is a Space-Saving frequent-items summary: the counter-based
@@ -45,8 +47,11 @@ func (s *spaceSaving) Pop() any {
 	return e
 }
 
-func newSpaceSaving(k int) *spaceSaving {
-	return &spaceSaving{k: k, index: make(map[int]int, k)}
+// newSpaceSaving returns a k-entry summary over a bank of rows rows. The
+// table never holds more entries than the bank has rows, so the index is
+// pre-sized to the smaller of the two.
+func newSpaceSaving(k, rows int) *spaceSaving {
+	return &spaceSaving{k: k, index: make(map[int]int, min(k, rows))}
 }
 
 // observe records one activation of row, reporting whether a new entry was
@@ -117,8 +122,6 @@ type MithrilConfig struct {
 	Entries  int // tracking entries per bank (2K in the paper's comparison)
 	// MitigateEveryREFs takes a mitigation opportunity every k REFs.
 	MitigateEveryREFs int
-	// MitigateOnRFM takes a mitigation opportunity on RFM.
-	MitigateOnRFM bool
 }
 
 // Mithril is a counter-based proactive in-DRAM tracker in the style of
@@ -128,33 +131,38 @@ type MithrilConfig struct {
 // (Table II and Section VIII.A of the MIRZA paper).
 type Mithril struct {
 	cfg    MithrilConfig
-	sink   Sink
+	sink   track.Sink
 	tables []*spaceSaving
-	Stats  Stats
+	Stats  track.Stats
 }
 
-var _ Mitigator = (*Mithril)(nil)
+var (
+	_ track.Mitigator     = (*Mithril)(nil)
+	_ track.StatsSource   = (*Mithril)(nil)
+	_ track.StateInjector = (*Mithril)(nil)
+)
 
-// NewMithril builds the Mithril-style baseline.
-func NewMithril(cfg MithrilConfig, sink Sink) *Mithril {
-	if sink == nil {
-		sink = NopSink{}
+// NewMithril builds the Mithril-style baseline. Entries and
+// MitigateEveryREFs must be >= 1.
+func NewMithril(cfg MithrilConfig, sink track.Sink) (*Mithril, error) {
+	if cfg.Entries < 1 || cfg.MitigateEveryREFs < 1 {
+		return nil, fmt.Errorf("entries and every must be >= 1, got %d/%d", cfg.Entries, cfg.MitigateEveryREFs)
 	}
-	if cfg.Entries < 1 {
-		panic(fmt.Sprintf("track: Mithril needs >= 1 entry, got %d", cfg.Entries))
+	if sink == nil {
+		sink = track.NopSink{}
 	}
 	m := &Mithril{cfg: cfg, sink: sink}
 	m.tables = make([]*spaceSaving, cfg.Geometry.BanksPerSubChannel)
 	for i := range m.tables {
-		m.tables[i] = newSpaceSaving(cfg.Entries)
+		m.tables[i] = newSpaceSaving(cfg.Entries, cfg.Geometry.RowsPerBank)
 	}
-	return m
+	return m, nil
 }
 
-// Name implements Mitigator.
+// Name implements track.Mitigator.
 func (m *Mithril) Name() string { return fmt.Sprintf("Mithril-%d", m.cfg.Entries) }
 
-// OnActivate implements Mitigator.
+// OnActivate implements track.Mitigator.
 func (m *Mithril) OnActivate(bank, row int, now dram.Time) {
 	m.Stats.ACTs++
 	inserted, evicted := m.tables[bank].observe(row)
@@ -166,10 +174,10 @@ func (m *Mithril) OnActivate(bank, row int, now dram.Time) {
 	}
 }
 
-// WantsALERT implements Mitigator; Mithril is proactive.
+// WantsALERT implements track.Mitigator; Mithril is proactive.
 func (m *Mithril) WantsALERT() bool { return false }
 
-// OnREF implements Mitigator.
+// OnREF implements track.Mitigator.
 func (m *Mithril) OnREF(refIndex int, now dram.Time) {
 	g := m.cfg.Geometry
 	t := g.RefreshTargetOf(refIndex)
@@ -181,31 +189,26 @@ func (m *Mithril) OnREF(refIndex int, now dram.Time) {
 			}
 		}
 	}
-	k := m.cfg.MitigateEveryREFs
-	if k > 0 && refIndex%k == 0 {
+	if refIndex%m.cfg.MitigateEveryREFs == 0 {
 		for bank := range m.tables {
 			m.mitigate(bank, now)
 		}
 	}
 }
 
-// OnRFM implements Mitigator.
-func (m *Mithril) OnRFM(bank int, now dram.Time) {
-	m.Stats.RFMs++
-	if m.cfg.MitigateOnRFM {
-		m.mitigate(bank, now)
-	}
-}
+// OnRFM implements track.Mitigator; Mithril mitigates under REF only, so an
+// RFM is counted and otherwise ignored.
+func (m *Mithril) OnRFM(bank int, now dram.Time) { m.Stats.RFMs++ }
 
-// ServiceALERT implements Mitigator.
+// ServiceALERT implements track.Mitigator.
 func (m *Mithril) ServiceALERT(now dram.Time) {
 	for bank := range m.tables {
 		m.mitigate(bank, now)
 	}
 }
 
-// InjectStateFault implements StateInjector: it flips one bit of a random
-// Space-Saving entry's count in a random bank and restores the heap
+// InjectStateFault implements track.StateInjector: it flips one bit of a
+// random Space-Saving entry's count in a random bank and restores the heap
 // invariant (the hardware analogue is a corrupted counter that the
 // comparator network keeps consuming as if it were genuine).
 func (m *Mithril) InjectStateFault(rng *stats.RNG) string {
@@ -228,8 +231,44 @@ func (m *Mithril) mitigate(bank int, now dram.Time) {
 		return
 	}
 	m.Stats.Mitigations++
-	m.sink.RowMitigated(bank, e.row, MitigationVictims, now)
+	m.sink.RowMitigated(bank, e.row, track.MitigationVictims, now)
 }
 
-// TrackStats implements StatsSource.
-func (m *Mithril) TrackStats() Stats { return m.Stats }
+// TrackStats implements track.StatsSource.
+func (m *Mithril) TrackStats() track.Stats { return m.Stats }
+
+func init() {
+	track.Register(track.Descriptor{
+		Name: "mithril",
+		Doc:  "Mithril-style Space-Saving counter tracker, mitigating under REF",
+		ConfigSchema: []track.ParamSpec{
+			{Key: "entries", Kind: track.IntParam, Doc: "Space-Saving entries per bank (default 2048)"},
+			{Key: "every", Kind: track.IntParam, Doc: "mitigate at every k-th REF (default 1)"},
+		},
+		DefaultConfig: func(cfg track.Config) (track.Params, error) {
+			return track.Params{"entries": "2048", "every": "1"}, nil
+		},
+		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
+			c := MithrilConfig{Geometry: cfg.Geometry, Mapping: cfg.Mapping}
+			var err error
+			if c.Entries, err = cfg.Params.Int("entries"); err != nil {
+				return nil, err
+			}
+			if c.MitigateEveryREFs, err = cfg.Params.Int("every"); err != nil {
+				return nil, err
+			}
+			return NewMithril(c, sink)
+		},
+		Bound: func(cfg track.Config) (track.Bound, error) {
+			every, err := cfg.Params.Int("every")
+			if err != nil {
+				return track.Bound{}, err
+			}
+			w := security.WindowPerREFs(dram.DDR5(), every)
+			return track.Bound{
+				TRHD: security.DefaultMithrilModel().ToleratedTRHD(w),
+				Kind: fmt.Sprintf("Mithril analytic tolerated TRHD at W=%d", w),
+			}, nil
+		},
+	})
+}

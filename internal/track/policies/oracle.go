@@ -10,6 +10,7 @@ package policies
 
 import (
 	"fmt"
+	"strconv"
 
 	"mirza/internal/dram"
 	"mirza/internal/stats"
@@ -114,7 +115,7 @@ func init() {
 			{Key: "threshold", Kind: track.IntParam, Doc: "mitigate a row at this exact count (default TRHD/2)"},
 		},
 		DefaultConfig: func(cfg track.Config) (track.Params, error) {
-			return track.Params{"threshold": itoa(cfg.TRHD / 2)}, nil
+			return track.Params{"threshold": strconv.Itoa(cfg.TRHD / 2)}, nil
 		},
 		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
 			t, err := cfg.Params.Int("threshold")

@@ -35,7 +35,7 @@ func TestDefaultsMatchTableI(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]map[string]string{
-		"prac":     {"ath": fmt.Sprint(track.ATHForTRHD(trhd))},
+		"prac":     {"ath": fmt.Sprint(ATHForTRHD(trhd))},
 		"mint-rfm": {"window": fmt.Sprint(mint.WindowForTRHD(trhd))},
 		"mint-ref": {"window": fmt.Sprint(security.WindowPerREFs(dram.DDR5(), 1)), "every": "1"},
 		"trr":      {"entries": "28", "every": "4", "sample": "16"},
@@ -137,6 +137,29 @@ func TestInstancesExposeStats(t *testing.T) {
 		}
 		if track.Source(m) == nil {
 			t.Errorf("%s: instance exposes no StatsSource", name)
+		}
+	}
+}
+
+// TestBuildRejectsCounterOverflow: PRAC's row counters are 16 bits, so an
+// ATH that the counter cannot reach (ath + inc - 1 > 65535) must fail at
+// Build instead of wrapping silently and never raising an ALERT.
+func TestBuildRejectsCounterOverflow(t *testing.T) {
+	env := track.Config{Geometry: dram.Default(), Mapping: dram.StridedR2SA, TRHD: 1000, Seed: 1}
+	for _, tc := range []struct {
+		name      string
+		overrides map[string]string
+		ok        bool
+	}{
+		{"prac", map[string]string{"ath": "70000"}, false},
+		{"prac", map[string]string{"ath": "65536"}, false},
+		{"prac", map[string]string{"ath": "65535"}, true},
+		{"mopac", map[string]string{"p": "0.25", "ath": "65535"}, false},
+		{"mopac", map[string]string{"p": "0.25", "ath": "65532"}, true},
+		{"mopac", map[string]string{"p": "1e-300"}, false},
+	} {
+		if _, err := track.Build(tc.name, tc.overrides, env); (err == nil) != tc.ok {
+			t.Errorf("Build(%s, %v): err = %v, want ok = %v", tc.name, tc.overrides, err, tc.ok)
 		}
 	}
 }

@@ -1,9 +1,10 @@
-package track
+package policies
 
 import (
 	"fmt"
 
 	"mirza/internal/dram"
+	"mirza/internal/track"
 )
 
 // TRRConfig configures the DDR4-style Targeted Row Refresh baseline.
@@ -15,10 +16,11 @@ type TRRConfig struct {
 	// (the paper's comparison uses one mitigation per 4 REF).
 	MitigateEveryREFs int
 	// SampleEvery models TRR's activation sampling: only every k-th
-	// activation to a bank updates the tracker (default 16). Deterministic
-	// sampling is what TRRespass/Blacksmith-style patterns exploit: an
-	// attacker who knows the period parks decoy activations on the sampled
-	// slots and hammers the aggressor in the shadow of the sampler.
+	// activation to a bank updates the tracker (the registry default is
+	// 16). Deterministic sampling is what TRRespass/Blacksmith-style
+	// patterns exploit: an attacker who knows the period parks decoy
+	// activations on the sampled slots and hammers the aggressor in the
+	// shadow of the sampler.
 	SampleEvery int
 }
 
@@ -29,14 +31,14 @@ type TRRConfig struct {
 // minimum-count entry without inheriting its count. The sampling is why
 // TRR is not secure: an attacker who knows the sampler's period aligns
 // decoy activations with the sampled slots so the aggressor is never even
-// observed (the TRRespass/Blacksmith pattern family). The Insecure method
-// and the attack tests demonstrate this.
+// observed (the TRRespass/Blacksmith pattern family). Its registration is
+// flagged Insecure, and the attack tests demonstrate the evasion.
 type TRR struct {
 	cfg      TRRConfig
-	sink     Sink
+	sink     track.Sink
 	tables   [][]trrEntry
 	actCount []int64
-	Stats    Stats
+	Stats    track.Stats
 }
 
 type trrEntry struct {
@@ -44,32 +46,31 @@ type trrEntry struct {
 	count int64
 }
 
-var _ Mitigator = (*TRR)(nil)
+var (
+	_ track.Mitigator   = (*TRR)(nil)
+	_ track.StatsSource = (*TRR)(nil)
+)
 
-// NewTRR builds the TRR baseline.
-func NewTRR(cfg TRRConfig, sink Sink) *TRR {
+// NewTRR builds the TRR baseline. Entries, MitigateEveryREFs and
+// SampleEvery must all be >= 1.
+func NewTRR(cfg TRRConfig, sink track.Sink) (*TRR, error) {
+	if cfg.Entries < 1 || cfg.MitigateEveryREFs < 1 || cfg.SampleEvery < 1 {
+		return nil, fmt.Errorf("entries, every and sample must be >= 1, got %d/%d/%d",
+			cfg.Entries, cfg.MitigateEveryREFs, cfg.SampleEvery)
+	}
 	if sink == nil {
-		sink = NopSink{}
-	}
-	if cfg.Entries < 1 {
-		panic(fmt.Sprintf("track: TRR needs >= 1 entry, got %d", cfg.Entries))
-	}
-	if cfg.SampleEvery == 0 {
-		cfg.SampleEvery = 16
+		sink = track.NopSink{}
 	}
 	t := &TRR{cfg: cfg, sink: sink}
 	t.tables = make([][]trrEntry, cfg.Geometry.BanksPerSubChannel)
 	t.actCount = make([]int64, cfg.Geometry.BanksPerSubChannel)
-	return t
+	return t, nil
 }
 
-// Name implements Mitigator.
+// Name implements track.Mitigator.
 func (t *TRR) Name() string { return fmt.Sprintf("TRR-%d", t.cfg.Entries) }
 
-// Insecure documents that this tracker has no security guarantee.
-func (t *TRR) Insecure() bool { return true }
-
-// OnActivate implements Mitigator.
+// OnActivate implements track.Mitigator.
 func (t *TRR) OnActivate(bank, row int, now dram.Time) {
 	t.Stats.ACTs++
 	t.actCount[bank]++
@@ -101,10 +102,10 @@ func (t *TRR) OnActivate(bank, row int, now dram.Time) {
 	t.Stats.Insertions++
 }
 
-// WantsALERT implements Mitigator; TRR is proactive.
+// WantsALERT implements track.Mitigator; TRR is proactive.
 func (t *TRR) WantsALERT() bool { return false }
 
-// OnREF implements Mitigator.
+// OnREF implements track.Mitigator.
 func (t *TRR) OnREF(refIndex int, now dram.Time) {
 	g := t.cfg.Geometry
 	target := g.RefreshTargetOf(refIndex)
@@ -114,21 +115,20 @@ func (t *TRR) OnREF(refIndex int, now dram.Time) {
 			t.dropRow(b, row)
 		}
 	}
-	k := t.cfg.MitigateEveryREFs
-	if k > 0 && refIndex%k == 0 {
+	if refIndex%t.cfg.MitigateEveryREFs == 0 {
 		for bank := range t.tables {
 			t.mitigate(bank, now)
 		}
 	}
 }
 
-// OnRFM implements Mitigator.
+// OnRFM implements track.Mitigator.
 func (t *TRR) OnRFM(bank int, now dram.Time) {
 	t.Stats.RFMs++
 	t.mitigate(bank, now)
 }
 
-// ServiceALERT implements Mitigator.
+// ServiceALERT implements track.Mitigator.
 func (t *TRR) ServiceALERT(now dram.Time) {
 	for bank := range t.tables {
 		t.mitigate(bank, now)
@@ -146,8 +146,8 @@ func (t *TRR) dropRow(bank, row int) {
 	}
 }
 
-// TrackStats implements StatsSource.
-func (t *TRR) TrackStats() Stats { return t.Stats }
+// TrackStats implements track.StatsSource.
+func (t *TRR) TrackStats() track.Stats { return t.Stats }
 
 func (t *TRR) mitigate(bank int, now dram.Time) {
 	table := t.tables[bank]
@@ -163,36 +163,38 @@ func (t *TRR) mitigate(bank int, now dram.Time) {
 	row := table[best].row
 	t.tables[bank] = append(table[:best], table[best+1:]...)
 	t.Stats.Mitigations++
-	t.sink.RowMitigated(bank, row, MitigationVictims, now)
+	t.sink.RowMitigated(bank, row, track.MitigationVictims, now)
 }
 
-// Nop is the unprotected baseline: it observes traffic and does nothing.
-type Nop struct {
-	Stats Stats
+func init() {
+	track.Register(track.Descriptor{
+		Name:     "trr",
+		Doc:      "sampled TRR-style counter table, mitigating under REF (no security guarantee)",
+		Insecure: true,
+		ConfigSchema: []track.ParamSpec{
+			{Key: "entries", Kind: track.IntParam, Doc: "tracker table entries per bank (default 28)"},
+			{Key: "every", Kind: track.IntParam, Doc: "mitigate at every k-th REF (default 4)"},
+			{Key: "sample", Kind: track.IntParam, Doc: "observe every k-th ACT only (default 16)"},
+		},
+		DefaultConfig: func(cfg track.Config) (track.Params, error) {
+			return track.Params{"entries": "28", "every": "4", "sample": "16"}, nil
+		},
+		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
+			c := TRRConfig{Geometry: cfg.Geometry, Mapping: cfg.Mapping}
+			var err error
+			if c.Entries, err = cfg.Params.Int("entries"); err != nil {
+				return nil, err
+			}
+			if c.MitigateEveryREFs, err = cfg.Params.Int("every"); err != nil {
+				return nil, err
+			}
+			if c.SampleEvery, err = cfg.Params.Int("sample"); err != nil {
+				return nil, err
+			}
+			return NewTRR(c, sink)
+		},
+		Bound: func(cfg track.Config) (track.Bound, error) {
+			return track.Bound{TRHD: cfg.TRHD, Kind: "nominal TRHD (TRR has no guarantee)"}, nil
+		},
+	})
 }
-
-var _ Mitigator = (*Nop)(nil)
-
-// NewNop returns the no-mitigation baseline.
-func NewNop() *Nop { return &Nop{} }
-
-// Name implements Mitigator.
-func (n *Nop) Name() string { return "Unprotected" }
-
-// OnActivate implements Mitigator.
-func (n *Nop) OnActivate(bank, row int, now dram.Time) { n.Stats.ACTs++ }
-
-// WantsALERT implements Mitigator.
-func (n *Nop) WantsALERT() bool { return false }
-
-// OnREF implements Mitigator.
-func (n *Nop) OnREF(refIndex int, now dram.Time) {}
-
-// OnRFM implements Mitigator.
-func (n *Nop) OnRFM(bank int, now dram.Time) { n.Stats.RFMs++ }
-
-// ServiceALERT implements Mitigator.
-func (n *Nop) ServiceALERT(now dram.Time) {}
-
-// TrackStats implements StatsSource.
-func (n *Nop) TrackStats() Stats { return n.Stats }

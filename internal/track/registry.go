@@ -38,19 +38,6 @@ func (p Params) Int(key string) (int, error) {
 	return v, nil
 }
 
-// Uint64 returns the named parameter as a uint64.
-func (p Params) Uint64(key string) (uint64, error) {
-	s, err := p.Str(key)
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("param %q: %q is not an unsigned integer", key, s)
-	}
-	return v, nil
-}
-
 // Float returns the named parameter as a float64.
 func (p Params) Float(key string) (float64, error) {
 	s, err := p.Str(key)
@@ -60,19 +47,6 @@ func (p Params) Float(key string) (float64, error) {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, fmt.Errorf("param %q: %q is not a number", key, s)
-	}
-	return v, nil
-}
-
-// Bool returns the named parameter as a bool ("true"/"false"/"1"/"0").
-func (p Params) Bool(key string) (bool, error) {
-	s, err := p.Str(key)
-	if err != nil {
-		return false, err
-	}
-	v, err := strconv.ParseBool(s)
-	if err != nil {
-		return false, fmt.Errorf("param %q: %q is not a bool", key, s)
 	}
 	return v, nil
 }
@@ -103,9 +77,7 @@ type ParamKind string
 // Parameter kinds.
 const (
 	IntParam    ParamKind = "int"
-	UintParam   ParamKind = "uint"
 	FloatParam  ParamKind = "float"
-	BoolParam   ParamKind = "bool"
 	StringParam ParamKind = "string"
 )
 
@@ -114,12 +86,8 @@ func (k ParamKind) check(val string) error {
 	switch k {
 	case IntParam:
 		_, err = strconv.Atoi(val)
-	case UintParam:
-		_, err = strconv.ParseUint(val, 10, 64)
 	case FloatParam:
 		_, err = strconv.ParseFloat(val, 64)
-	case BoolParam:
-		_, err = strconv.ParseBool(val)
 	case StringParam:
 		return nil
 	default:
@@ -222,13 +190,11 @@ func Register(d Descriptor) {
 
 // Names returns the canonical names of all registered defenses, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for _, d := range registry {
-		names = append(names, d.Name)
+	ds := Descriptors()
+	names := make([]string, len(ds))
+	for i, d := range ds {
+		names[i] = d.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -341,9 +307,6 @@ func schemaKeys(schema []ParamSpec) string {
 
 // Name returns the canonical registered name.
 func (b *Built) Name() string { return b.desc.Name }
-
-// Doc returns the policy's one-line description.
-func (b *Built) Doc() string { return b.desc.Doc }
 
 // Insecure reports whether the policy carries no security guarantee.
 func (b *Built) Insecure() bool { return b.desc.Insecure }

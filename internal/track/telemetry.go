@@ -14,7 +14,7 @@ func FlushTelemetry(reg *telemetry.Registry, m Mitigator, extra ...telemetry.Lab
 		return
 	}
 	policy := m.Name()
-	src := statsSource(m)
+	src := Source(m)
 	if src == nil {
 		return
 	}
@@ -32,10 +32,7 @@ func FlushTelemetry(reg *telemetry.Registry, m Mitigator, extra ...telemetry.Lab
 // its StatsSource; nil when nothing in the chain exposes one. The protocol
 // auditor uses it to compare tracker-side mitigation counts against the
 // channel-side counters without being fooled by decorators.
-func Source(m Mitigator) StatsSource { return statsSource(m) }
-
-// statsSource resolves m (or anything it decorates) to a StatsSource.
-func statsSource(m Mitigator) StatsSource {
+func Source(m Mitigator) StatsSource {
 	for m != nil {
 		if src, ok := m.(StatsSource); ok {
 			return src

@@ -1,6 +1,9 @@
 // Package track defines the in-DRAM Rowhammer mitigation interface shared by
-// every tracker in this repository (MINT, MINT+RFM, PRAC+ABO/MOAT, Mithril,
-// TRR, and MIRZA from internal/core), plus the baseline implementations.
+// every tracker in this repository, the registry through which consumers
+// resolve policies by name, the MINT sampler shared by MINT and MIRZA, and
+// the unprotected Nop baseline. The policies themselves (MINT, PRAC+ABO,
+// MoPAC, TRR, Mithril, Graphene, Loaded Dice, the oracle, and MIRZA from
+// internal/core) each register from one file in internal/track/policies.
 //
 // A Mitigator models the per-sub-channel mitigation logic of a DRAM device:
 // it observes every activation and refresh, may use proactive mitigation
@@ -126,3 +129,34 @@ type Stats struct {
 type StatsSource interface {
 	TrackStats() Stats
 }
+
+// Nop is the unprotected baseline: it observes traffic and does nothing.
+type Nop struct {
+	Stats Stats
+}
+
+var _ Mitigator = (*Nop)(nil)
+
+// NewNop returns the no-mitigation baseline.
+func NewNop() *Nop { return &Nop{} }
+
+// Name implements Mitigator.
+func (n *Nop) Name() string { return "Unprotected" }
+
+// OnActivate implements Mitigator.
+func (n *Nop) OnActivate(bank, row int, now dram.Time) { n.Stats.ACTs++ }
+
+// WantsALERT implements Mitigator.
+func (n *Nop) WantsALERT() bool { return false }
+
+// OnREF implements Mitigator.
+func (n *Nop) OnREF(refIndex int, now dram.Time) {}
+
+// OnRFM implements Mitigator.
+func (n *Nop) OnRFM(bank int, now dram.Time) { n.Stats.RFMs++ }
+
+// ServiceALERT implements Mitigator.
+func (n *Nop) ServiceALERT(now dram.Time) {}
+
+// TrackStats implements StatsSource.
+func (n *Nop) TrackStats() Stats { return n.Stats }
